@@ -160,7 +160,12 @@ class GpuMemoryPool:
         allocation.released = True
         if allocation in self._evictable:
             self._evictable.remove(allocation)
-        self._free.put(allocation.nbytes)
+        # Returned bytes always fit and nothing waits on the put, so raise
+        # the level in place rather than queue a put event: blocked
+        # allocs are woken by the same first-fit pass either way.
+        free = self._free
+        free._level += allocation.nbytes
+        free._trigger()
 
     def pin(self, allocation: Allocation) -> None:
         """Make an evictable allocation non-evictable (about to be used)."""

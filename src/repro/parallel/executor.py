@@ -68,11 +68,23 @@ def derive_seed(base_seed: int, key: Any) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _describe(exc: BaseException) -> str:
+    """``ExcType: first line of its message`` — a cause in one line."""
+    lines = str(exc).strip().splitlines()
+    name = type(exc).__name__
+    return f"{name}: {lines[0]}" if lines else name
+
+
 class SweepError(RuntimeError):
-    """A sweep point failed; carries the failing index and point spec."""
+    """A sweep point failed; carries the failing index and point spec.
+
+    The message names the index, the point's class and the cause in one
+    line; the point itself (often a multi-KB config) is on :attr:`point`.
+    """
 
     def __init__(self, index: int, point: Any, cause: BaseException) -> None:
-        super().__init__(f"sweep point {index} ({point!r}) failed: {cause!r}")
+        reason = cause.message if isinstance(cause, _ChunkPointError) else _describe(cause)
+        super().__init__(f"sweep point {index} ({type(point).__name__}) failed: {reason}")
         self.index = index
         self.point = point
 
@@ -236,7 +248,7 @@ def _pool_chunk(
         try:
             results.append(_run_point(task, index, point))
         except Exception as exc:
-            raise _ChunkPointError(index, repr(exc)) from exc
+            raise _ChunkPointError(index, _describe(exc)) from exc
     _check_import_hygiene()
     return results
 

@@ -3,10 +3,10 @@
 Two interchangeable queue cores drive dispatch (see
 :func:`resolve_scheduler`):
 
-- ``"calendar"`` (default): the :class:`~repro.sim.calendar.CalendarQueue`
-  — O(1) amortized push/pop independent of queue depth.
-- ``"heap"``: the classic ``heapq`` binary heap, kept as a fallback and
-  as the reference the calendar core is pinned against.
+- ``"heap"`` (default): the classic ``heapq`` binary heap, whose C
+  constants win at every queue depth this repository reaches.
+- ``"calendar"``: the :class:`~repro.sim.calendar.CalendarQueue` —
+  O(1) amortized push/pop independent of queue depth.
 
 Both maintain the exact ``(time, priority, eid)`` total order, so a run
 is bit-identical under either core (asserted by
@@ -20,18 +20,24 @@ and the store put/get pairs) through per-environment free lists.  An
 event is recycled only when the interpreter's reference count proves
 nothing outside the dispatch loop still holds it, so pooling is
 invisible to policy code; a pooled event must never escape the
-environment that owns it (see MODELING.md §10).
+environment that owns it (see MODELING.md §10).  Events that can run no
+callback are never queued at all (see :mod:`repro.sim.events`).
+
+Both refcount shortcuts assume fixed reference-count baselines.  At
+import, :func:`_self_check` probes them on this interpreter and turns
+the shortcuts off when any differs: every event is then allocated and
+queued as before, which is always correct, only slower.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional, Tuple
 
+from . import events as _events
 from .calendar import CalendarQueue
-from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
+from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout, _getrefcount
 from .process import Process
 from .stores import StoreGet, StorePut
 
@@ -59,12 +65,10 @@ DEFAULT_SCHEDULER = "heap"
 #: hoard unbounded garbage in the pools.
 _POOL_LIMIT = 1024
 
-# CPython's exact reference count is what makes recycling provably safe;
-# on interpreters without it the pools simply never refill.
-_getrefcount = getattr(sys, "getrefcount", None)
-if _getrefcount is None:  # pragma: no cover - non-CPython fallback
-    def _getrefcount(_obj: Any) -> int:
-        return 0
+
+def _pool_limit() -> int:
+    """Free-list cap for the next dispatch: 0 while the shortcuts are off."""
+    return _POOL_LIMIT if _events._refcount_shortcuts else 0
 
 
 def resolve_scheduler(name: Optional[str] = None) -> str:
@@ -298,7 +302,7 @@ class Environment:
             pool = self._put_pool
         else:
             return
-        if _getrefcount(event) == 4 and len(pool) < _POOL_LIMIT:
+        if _getrefcount(event) == 4 and len(pool) < _pool_limit():
             callbacks.clear()
             event.callbacks = callbacks
             if cls is StoreGet:
@@ -385,6 +389,7 @@ class Environment:
         get_pool = self._get_pool
         put_pool = self._put_pool
         refcount = _getrefcount
+        limit = _pool_limit()
         while True:
             try:
                 item = heappop(queue)
@@ -402,24 +407,24 @@ class Environment:
             # Inline of _recycle(); see its docstring for the invariant.
             cls = event.__class__
             if cls is Timeout:
-                if refcount(event) == 3 and len(timeout_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(timeout_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     timeout_pool.append(event)
             elif cls is Event:
-                if refcount(event) == 3 and len(event_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(event_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     event_pool.append(event)
             elif cls is StoreGet:
-                if refcount(event) == 3 and len(get_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(get_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     event.store = None
                     event.filter_fn = None
                     get_pool.append(event)
             elif cls is StorePut:
-                if refcount(event) == 3 and len(put_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(put_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     event.store = None
@@ -435,6 +440,7 @@ class Environment:
         get_pool = self._get_pool
         put_pool = self._put_pool
         refcount = _getrefcount
+        limit = _pool_limit()
         while True:
             if not cal._count:
                 raise EmptySchedule() from None
@@ -451,24 +457,24 @@ class Environment:
             # Inline of _recycle(); see its docstring for the invariant.
             cls = event.__class__
             if cls is Timeout:
-                if refcount(event) == 3 and len(timeout_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(timeout_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     timeout_pool.append(event)
             elif cls is Event:
-                if refcount(event) == 3 and len(event_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(event_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     event_pool.append(event)
             elif cls is StoreGet:
-                if refcount(event) == 3 and len(get_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(get_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     event.store = None
                     event.filter_fn = None
                     get_pool.append(event)
             elif cls is StorePut:
-                if refcount(event) == 3 and len(put_pool) < _POOL_LIMIT:
+                if refcount(event) == 3 and len(put_pool) < limit:
                     callbacks.clear()
                     event.callbacks = callbacks
                     event.store = None
@@ -479,3 +485,49 @@ class Environment:
 def _stop_simulation(event: Event) -> None:
     """Callback attached to the until-event: unwind the main loop."""
     raise StopSimulation(event)
+
+
+def _finish_at_once() -> Generator[Event, Any, None]:
+    """A process body that returns on its first resume."""
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
+def _refcount_probe() -> bool:
+    """Whether this interpreter reads the refcount baselines the shortcuts assume.
+
+    Each shortcut runs once on an unheld object, which must take it, and
+    once on an object the probe holds, which must not; together they pin
+    the baseline exactly.  Pooling reads 3 in the inlined run loops (both
+    cores) and 4 in :meth:`Environment._recycle` (``step()``);
+    process-finish elision reads 4 in ``Process._resume``.
+    """
+    for scheduler in SCHEDULERS:
+        for stepped in (False, True):
+            env = Environment(scheduler=scheduler)
+            env.timeout(0.0)
+            held = env.timeout(0.0)
+            if stepped:
+                while env.pending:
+                    env.step()
+            else:
+                env.run()
+            pool = env._timeout_pool
+            if len(pool) != 1 or pool[0] is held:
+                return False
+    env = Environment(scheduler="heap")
+    env.process(_finish_at_once())
+    held = env.process(_finish_at_once())
+    env.step()
+    env.step()
+    # Only the held process's finish event may be queued.
+    return env.pending == 1 and held.callbacks == []
+
+
+def _self_check() -> None:
+    """Set the private shortcut flag from :func:`_refcount_probe`."""
+    _events._refcount_shortcuts = True
+    _events._refcount_shortcuts = _refcount_probe()
+
+
+_self_check()

@@ -20,10 +20,32 @@ never-recycled object whose ``value``/``ok`` stay readable forever; code
 that drops its reference must not expect identity (``is``) relationships
 between events across dispatches.  Condition classes are never pooled —
 they hold cross-event state with unbounded lifetime.
+
+An event that can run no callback is never queued: scheduling it would
+cost a queue push, a pop and a loop turn that change nothing.  Three
+kinds are elided and come back already *processed*:
+
+- every :class:`~repro.sim.resources.Release` (``Resource.release()``
+  frees the slot in place; a ``with`` block's exit builds none);
+- a :class:`~repro.sim.process.Process` whose generator returns
+  successfully while nothing waits on it and its reference count proves
+  nothing outside the resume holds it (a failed process is still queued,
+  so its error escalates from ``run()``);
+- the put behind ``GpuMemoryPool.free``, which raises the container
+  level directly.
+
+Removing them keeps the ``(time, priority, eid)`` order of every other
+event, so results are unchanged; only ``env.pending`` and ``step()`` no
+longer see these events.  Both refcount shortcuts — pooling and
+process-finish elision — are switched by one private flag,
+:data:`_refcount_shortcuts`, which the import-time self-check in
+:mod:`repro.sim.engine` clears when the interpreter's reference counts
+differ from the baselines they assume.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -59,6 +81,14 @@ URGENT = 0
 
 #: Default scheduling priority.
 NORMAL = 1
+
+# CPython's exact reference count is what proves an event unheld; on
+# interpreters without it the self-check fails and the shortcuts stay off.
+_getrefcount = getattr(sys, "getrefcount", lambda _obj: 0)
+
+#: Whether event pooling and process-finish elision are on.  Private:
+#: set only by ``repro.sim.engine._self_check`` at import.
+_refcount_shortcuts = True
 
 
 class Event:

@@ -3,14 +3,17 @@
 A :class:`Process` wraps a generator that yields :class:`~repro.sim.events.Event`
 objects.  The process is itself an event: it triggers with the generator's
 return value when the generator finishes, which lets processes wait for each
-other (``yield env.process(...)``).
+other (``yield env.process(...)``).  A successful finish that nothing waits
+on and nothing holds is marked processed without being queued (see
+:mod:`repro.sim.events`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from .events import PENDING, URGENT, Event
+from . import events as _events
+from .events import PENDING, URGENT, Event, _getrefcount
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -78,11 +81,23 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "throw"):
             raise ValueError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
+        # Initialize(env, self), inlined: spawning is a hot path.
+        init = Initialize.__new__(Initialize)
+        init.env = env
+        init.callbacks = [self._resume]
+        init._value = None
+        init._ok = True
+        init._defused = False
+        env.schedule(init, URGENT)
         #: The event the process is currently waiting for (None if just
         #: started, terminated, or currently being resumed).
-        self._target: Optional[Event] = Initialize(env, self)
+        self._target: Optional[Event] = init
 
     def __repr__(self) -> str:
         return f"<Process({self.name}) object at {id(self):#x}>"
@@ -134,10 +149,17 @@ class Process(Event):
                     event._defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as stop:
-                # Generator finished: the process event succeeds.
+                # Generator finished: the process event succeeds.  With no
+                # waiter and a refcount of 4 — the resuming bound method,
+                # this frame's ``self``, ``env._active_proc`` and the
+                # call's own argument — nobody can ever see the finish
+                # event, so it is marked processed instead of queued.
                 self._ok = True
                 self._value = stop.value
-                env.schedule(self)
+                if self.callbacks or not _events._refcount_shortcuts or _getrefcount(self) != 4:
+                    env.schedule(self)
+                else:
+                    self.callbacks = None
                 break
             except BaseException as exc:  # noqa: BLE001 - deliberate catch-all
                 # Generator died: the process event fails.  If nobody waits
@@ -147,10 +169,8 @@ class Process(Event):
                 env.schedule(self)
                 break
 
-            # The generator yielded a new event to wait for.
-            if next_event is None:
-                event = _fail_yield(self, next_event)
-                continue
+            # The generator yielded a new event to wait for (a yielded
+            # None fails here as "not an event").
             if not isinstance(next_event, Event):
                 event = _fail_yield(self, next_event)
                 continue
@@ -158,9 +178,10 @@ class Process(Event):
                 event = _fail_yield(self, next_event, reason="different environment")
                 continue
 
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Event not yet processed: register and suspend.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 break
 

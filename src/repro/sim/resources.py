@@ -16,10 +16,12 @@ supported::
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
-from .events import Event
+from .events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -33,20 +35,25 @@ class Request(Event):
     __slots__ = ("resource", "usage_since", "requested_at")
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.usage_since: Optional[float] = None
         #: Time the request was issued; used for queue-time accounting.
-        self.requested_at: float = resource.env.now
+        self.requested_at: float = env._now
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        # Cancel if still queued, release if granted; both are idempotent
-        # through Resource.release/cancel.
-        self.resource.release(self)
+        # Release if granted, cancel if still queued, else nothing: the
+        # same as Resource.release, minus the Release nobody sees here.
+        self.resource._do_release(self)
 
     @property
     def wait_time(self) -> float:
@@ -72,15 +79,23 @@ class PriorityRequest(Request):
 
 
 class Release(Event):
-    """Immediate event confirming a release (for symmetry with SimPy)."""
+    """Event confirming a release (for symmetry with SimPy).
+
+    The slot is freed in the constructor and nothing can wait on the
+    release, so the event is born *processed* and never queued: yielding
+    it resumes the process in place.
+    """
 
     __slots__ = ("request",)
 
     def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._defused = False
         self.request = request
         resource._do_release(request)
-        self.succeed()
 
 
 class Resource:
@@ -164,16 +179,28 @@ class Resource:
         self.queue.append(request)
 
     def _grant(self, request: Request) -> None:
-        self._account()
-        self.users.append(request)
-        request.usage_since = self.env.now
-        request.succeed()
+        # Flat on purpose (account, append, stamp, one schedule): nearly
+        # every request is granted at once, so this is a hot path.
+        env = self.env
+        now = env._now
+        users = self.users
+        self._busy_time += len(users) * (now - self._last_change)
+        self._last_change = now
+        users.append(request)
+        request.usage_since = now
+        request._value = None
+        env.schedule(request)
 
     def _do_release(self, request: Request) -> None:
-        if request in self.users:
-            self._account()
-            self.users.remove(request)
-            self._dispatch()
+        users = self.users
+        if request in users:
+            # _account(), inlined for the same reason as _grant.
+            now = self.env._now
+            self._busy_time += len(users) * (now - self._last_change)
+            self._last_change = now
+            users.remove(request)
+            if self.queue:
+                self._dispatch()
         elif request in self.queue:
             # Cancelled while still waiting.
             self.queue.remove(request)
@@ -194,6 +221,10 @@ class Resource:
             self._grant(request)
 
 
+#: Grant-order key of a queued :class:`PriorityRequest`.
+_PRIORITY_KEY = attrgetter("priority", "order")
+
+
 class PriorityResource(Resource):
     """Resource whose queue is served in (priority, FIFO) order."""
 
@@ -202,7 +233,7 @@ class PriorityResource(Resource):
         self._order = itertools.count()
 
     def _new_queue(self):
-        # Sorted in (priority, FIFO) order on insert; needs list.sort.
+        # Kept sorted in (priority, FIFO) order by insort on enqueue.
         return []
 
     def _next_request(self) -> Optional[Request]:
@@ -213,17 +244,13 @@ class PriorityResource(Resource):
     def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
         return PriorityRequest(self, priority)
 
-    def _enqueue(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        request.order = next(self._order)
-        self.queue.append(request)
-        self.queue.sort(key=lambda r: r.key)  # type: ignore[attr-defined]
-
     def _do_request(self, request: Request) -> None:
         assert isinstance(request, PriorityRequest)
         request.order = next(self._order)
-        if len(self.users) < self._capacity:
-            self._grant(request)
-        else:
-            self.queue.append(request)
-            self.queue.sort(key=lambda r: r.key)  # type: ignore[attr-defined]
+        super()._do_request(request)
+
+    def _enqueue(self, request: Request) -> None:
+        # (priority, order) keys are unique, so insort places the request
+        # exactly where appending and re-sorting would.
+        insort(self.queue, request, key=_PRIORITY_KEY)
+

@@ -29,6 +29,10 @@ def fail_on_three(point):
     return point
 
 
+def fail_verbosely(point):
+    raise RuntimeError("first line of the cause\n" + "detail " * 500)
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(0, "a") == derive_seed(0, "a")
@@ -81,6 +85,16 @@ class TestRunSweepSerial:
             run_sweep(fail_on_three, [1, 2, 3], ParallelConfig(serial=True))
         assert excinfo.value.index == 2
         assert excinfo.value.point == 3
+
+    def test_failure_message_is_one_line(self):
+        """Index, point class and cause; never the point's (huge) repr."""
+        point = {"config": "x" * 5000}
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(fail_verbosely, [point], ParallelConfig(serial=True))
+        assert str(excinfo.value) == (
+            "sweep point 0 (dict) failed: RuntimeError: first line of the cause"
+        )
+        assert excinfo.value.point is point
 
     def test_progress_callback(self):
         seen = []
@@ -196,6 +210,7 @@ class TestPersistentPool:
                 ParallelConfig(workers=2, persistent=True),
             )
         assert excinfo.value.point == 3
+        assert str(excinfo.value) == "sweep point 1 (int) failed: ValueError: boom"
 
 
 class TestSweepReport:
