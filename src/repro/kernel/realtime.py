@@ -23,10 +23,10 @@ Three clock modes:
 
 External inputs (live HTTP handlers) run as asyncio tasks on the same
 loop.  They inject work by calling ordinary kernel methods
-(``env.process(...)``, ``store.put(...)``); every ``schedule`` pokes the
-dispatch loop awake, so injected events are picked up immediately.  Call
-:meth:`touch` first so ``now`` reflects the wall clock at injection time
-(between dispatches the cached ``now`` lags).
+(``env.process(...)``, ``store.put(...)``, ``env.timeout(...)``); every
+queue push pokes the dispatch loop awake, so injected events are picked
+up immediately.  Call :meth:`touch` first so ``now`` reflects the wall
+clock at injection time (between dispatches the cached ``now`` lags).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from heapq import heappop
 from typing import Any, Optional
 
 from ..sim.engine import Environment, StopSimulation, _stop_simulation
-from ..sim.events import NORMAL, PENDING, Event
+from ..sim.events import NORMAL, PENDING, Event, Timeout
 
 __all__ = ["AsyncioBackend"]
 
@@ -70,11 +70,7 @@ class AsyncioBackend(Environment):
         time_scale: float = 1.0,
         fast_forward: bool = False,
     ) -> None:
-        # The wall-clock dispatch loop below peeks/pops `_queue` directly
-        # (it needs the next event *time* to size its sleep), so this
-        # backend always runs on the binary-heap core regardless of the
-        # REPRO_SCHEDULER default.
-        super().__init__(initial_time, scheduler="heap")
+        super().__init__(initial_time)
         if time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
         self.time_scale = float(time_scale)
@@ -127,6 +123,14 @@ class AsyncioBackend(Environment):
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         super().schedule_at(event, at, priority)
         self._poke()
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        # Environment.timeout pushes onto the heap inline, bypassing
+        # schedule(); without this poke a timeout created outside
+        # dispatch would wait for the loop's current sleep to end.
+        timeout = super().timeout(delay, value)
+        self._poke()
+        return timeout
 
     def _poke(self) -> None:
         if self._wakeup is not None and not self._wakeup.is_set():

@@ -11,28 +11,15 @@ boundary, not the event loop.
 
 ``VirtualTimeBackend`` is an alias, not a wrapper: aliasing guarantees
 there is exactly one DES dispatch loop in the codebase and that the
-hot path (see ``BENCH_parallel.json``) pays nothing for the protocol.
+hot path (measured end to end by ``perfbench/``) pays nothing for the
+protocol.
 """
 
 from __future__ import annotations
 
-from ..sim.engine import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    EmptySchedule,
-    Environment,
-    StopSimulation,
-    resolve_scheduler,
-)
+from ..sim.engine import EmptySchedule, Environment, StopSimulation
 
-__all__ = [
-    "VirtualTimeBackend",
-    "EmptySchedule",
-    "StopSimulation",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
-    "resolve_scheduler",
-]
+__all__ = ["VirtualTimeBackend", "EmptySchedule", "StopSimulation"]
 
 #: The discrete-event simulation backend (alias of
 #: :class:`repro.sim.engine.Environment`).

@@ -4,15 +4,12 @@ Seeds the repository's performance trajectory (``BENCH_parallel.json``):
 every future optimization PR reruns this harness and compares.  Three
 probes:
 
-- **engine**: a timeout-chain microbenchmark — pure event-loop
-  throughput (schedule/pop/resume), no model logic.
+- **engine**: timeout-chain microbenchmarks — pure event-loop
+  throughput (schedule/pop/resume), no model logic — at queue depth 1
+  (one chain) and depth ~10k (concurrent timer chains).
 - **store**: producer/consumer pairs through a :class:`~repro.sim.Store`
   plus a deep pre-filled drain (the path that used to be quadratic via
   ``list.pop(0)``).
-- **schedulers**: the engine probes repeated under each selectable
-  queue core (``heap`` and ``calendar``), at queue depth 1 (one chain)
-  and depth ~10k (concurrent timer chains) — the comparison that
-  justifies the default scheduler choice.
 - **sweep**: a >=12-point closed-loop experiment sweep executed serially
   and through :func:`repro.parallel.run_sweep` — once with the default
   per-sweep pool and once with a persistent spawn pool + chunked point
@@ -41,7 +38,6 @@ from .tasks import ExperimentPoint, run_experiment_point
 __all__ = [
     "bench_engine_events",
     "bench_engine_concurrent",
-    "bench_schedulers",
     "bench_store_throughput",
     "bench_store_drain",
     "bench_sweep",
@@ -51,18 +47,19 @@ __all__ = [
 ]
 
 #: Bump when the harness shape changes incompatibly.  v2 added the
-#: per-scheduler engine probes and the persistent/chunked sweep leg
-#: (both additive; v1 baselines still compare on the shared figures).
-SCHEMA_VERSION = 2
+#: per-scheduler engine probes and the persistent/chunked sweep leg;
+#: v3 dropped the per-scheduler block for the single queue core and
+#: moved its depth-10k probe to ``engine.concurrent_events_per_sec``.
+SCHEMA_VERSION = 3
 
 
-def bench_engine_events(events: int = 200_000, scheduler: Optional[str] = None) -> float:
+def bench_engine_events(events: int = 200_000) -> float:
     """Event-loop throughput: one process advancing through timeouts.
 
     Queue depth stays at 1 — this measures pure dispatch overhead
     (schedule/pop/resume), the binary heap's best case.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
 
     def chain():
         for _ in range(events):
@@ -74,18 +71,16 @@ def bench_engine_events(events: int = 200_000, scheduler: Optional[str] = None) 
     return events / (time.perf_counter() - start)
 
 
-def bench_engine_concurrent(
-    chains: int = 10_000, rounds: int = 20, scheduler: Optional[str] = None
-) -> float:
+def bench_engine_concurrent(chains: int = 10_000, rounds: int = 20) -> float:
     """Event-loop throughput at queue depth ~``chains``.
 
     Thousands of concurrent timer chains with slightly staggered
     periods keep the pending-event set deep for the whole run — the
-    regime where a binary heap pays O(log n) per operation and a
-    calendar queue stays O(1) amortized.  Mirrors a fleet/cluster
-    simulation's queue profile rather than a single closed loop's.
+    regime where a binary heap pays O(log n) per operation.  Mirrors a
+    fleet/cluster simulation's queue profile rather than a single
+    closed loop's.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
 
     def chain(index: int):
         delay = 1.0 + (index % 97) * 1e-4
@@ -98,23 +93,6 @@ def bench_engine_concurrent(
     start = time.perf_counter()
     env.run()
     return total / (time.perf_counter() - start)
-
-
-def bench_schedulers(
-    events: int = 200_000, chains: int = 10_000, rounds: int = 20
-) -> Dict[str, Dict[str, float]]:
-    """Both engine probes under each selectable queue core."""
-    from ..sim.engine import SCHEDULERS
-
-    return {
-        name: {
-            "timeout_events_per_sec": _best_of(bench_engine_events, events, name),
-            "concurrent_events_per_sec": _best_of(
-                bench_engine_concurrent, chains, rounds, name
-            ),
-        }
-        for name in SCHEDULERS
-    }
 
 
 def bench_store_throughput(items: int = 100_000) -> float:
@@ -275,10 +253,10 @@ def run_bench(
         },
         "engine": {
             "timeout_events_per_sec": _best_of(bench_engine_events, engine_events),
+            "concurrent_events_per_sec": _best_of(bench_engine_concurrent),
             "store_ops_per_sec": _best_of(bench_store_throughput, store_items),
             "store_drain_per_sec": _best_of(bench_store_drain, store_items),
         },
-        "schedulers": bench_schedulers(engine_events),
         "sweep": bench_sweep(
             sweep_count,
             workers,

@@ -1,18 +1,10 @@
 """The simulation environment: event queue and main loop.
 
-Two interchangeable queue cores drive dispatch (see
-:func:`resolve_scheduler`):
-
-- ``"heap"`` (default): the classic ``heapq`` binary heap, whose C
-  constants win at every queue depth this repository reaches.
-- ``"calendar"``: the :class:`~repro.sim.calendar.CalendarQueue` —
-  O(1) amortized push/pop independent of queue depth.
-
-Both maintain the exact ``(time, priority, eid)`` total order, so a run
-is bit-identical under either core (asserted by
-``tests/serving/test_scheduler_determinism.py``).  Selection: the
-``scheduler=`` constructor argument, else the ``REPRO_SCHEDULER``
-environment variable, else the default.
+The queue is a ``heapq`` binary heap of ``(time, priority, eid, event)``
+tuples, so events run in exact (time, priority, insertion order) and a
+run is a pure function of its seed.  CPython's C-accelerated ``heapq``
+wins on constant factors at every queue depth this repository reaches
+(MODELING.md §10).
 
 The dispatch loop also recycles the hottest event objects
 (:class:`~repro.sim.events.Timeout`, plain :class:`~repro.sim.events.Event`,
@@ -31,35 +23,15 @@ queued as before, which is always correct, only slower.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional, Tuple
 
 from . import events as _events
-from .calendar import CalendarQueue
 from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout, _getrefcount
 from .process import Process
 from .stores import StoreGet, StorePut
 
-__all__ = [
-    "Environment",
-    "EmptySchedule",
-    "StopSimulation",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
-    "resolve_scheduler",
-]
-
-#: Queue cores understood by :class:`Environment`.
-SCHEDULERS = ("calendar", "heap")
-
-#: Core used when neither ``scheduler=`` nor ``REPRO_SCHEDULER`` says
-#: otherwise.  CPython's C-accelerated ``heapq`` wins on constant
-#: factors at every queue depth this repository's workloads reach (see
-#: ``python -m repro bench``); the calendar core is kept fully
-#: selectable — and forced on a dedicated CI leg — because it is the
-#: depth-insensitive option and the two must stay bit-identical.
-DEFAULT_SCHEDULER = "heap"
+__all__ = ["Environment", "EmptySchedule", "StopSimulation"]
 
 #: Per-environment cap on each free list; a pathological run cannot
 #: hoard unbounded garbage in the pools.
@@ -69,18 +41,6 @@ _POOL_LIMIT = 1024
 def _pool_limit() -> int:
     """Free-list cap for the next dispatch: 0 while the shortcuts are off."""
     return _POOL_LIMIT if _events._refcount_shortcuts else 0
-
-
-def resolve_scheduler(name: Optional[str] = None) -> str:
-    """Resolve a scheduler choice: argument > ``REPRO_SCHEDULER`` > default."""
-    if name is None:
-        name = os.environ.get("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
-    resolved = str(name).strip().lower()
-    if resolved not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {name!r}; choose one of {', '.join(SCHEDULERS)}"
-        )
-    return resolved
 
 
 class EmptySchedule(Exception):
@@ -102,7 +62,6 @@ class Environment:
     __slots__ = (
         "_now",
         "_queue",
-        "_cal",
         "_eid",
         "_active_proc",
         "_timeout_pool",
@@ -111,12 +70,9 @@ class Environment:
         "_get_pool",
     )
 
-    def __init__(self, initial_time: float = 0.0, *, scheduler: Optional[str] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if resolve_scheduler(scheduler) == "calendar" else None
-        )
         self._eid = 0
         self._active_proc: Optional[Process] = None
         self._timeout_pool: List[Timeout] = []
@@ -125,10 +81,7 @@ class Environment:
         self._get_pool: List[StoreGet] = []
 
     def __repr__(self) -> str:
-        return (
-            f"<Environment(now={self._now}, pending={self.pending}, "
-            f"scheduler={self.scheduler!r})>"
-        )
+        return f"<Environment(now={self._now}, pending={len(self._queue)})>"
 
     @property
     def now(self) -> float:
@@ -136,15 +89,9 @@ class Environment:
         return self._now
 
     @property
-    def scheduler(self) -> str:
-        """Name of the queue core driving this environment."""
-        return "heap" if self._cal is None else "calendar"
-
-    @property
     def pending(self) -> int:
         """Number of scheduled-but-undispatched events."""
-        cal = self._cal
-        return len(self._queue) if cal is None else len(cal)
+        return len(self._queue)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -187,11 +134,7 @@ class Environment:
             timeout._delay = delay
         eid = self._eid + 1
         self._eid = eid
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (self._now + delay, NORMAL, eid, timeout))
-        else:
-            cal.push((self._now + delay, NORMAL, eid, timeout))
+        heappush(self._queue, (self._now + delay, NORMAL, eid, timeout))
         return timeout
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
@@ -212,11 +155,7 @@ class Environment:
         """Put a triggered ``event`` on the queue after ``delay``."""
         eid = self._eid + 1
         self._eid = eid
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (self._now + delay, priority, eid, event))
-        else:
-            cal.push((self._now + delay, priority, eid, event))
+        heappush(self._queue, (self._now + delay, priority, eid, event))
 
     def schedule_at(self, event: Event, at: float, priority: int = NORMAL) -> None:
         """Put a triggered ``event`` on the queue at absolute time ``at``.
@@ -232,41 +171,28 @@ class Environment:
             raise ValueError(f"at ({at}) must be >= now ({self._now})")
         eid = self._eid + 1
         self._eid = eid
-        cal = self._cal
-        if cal is None:
-            heappush(self._queue, (at, priority, eid, event))
-        else:
-            cal.push((at, priority, eid, event))
+        heappush(self._queue, (at, priority, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        cal = self._cal
-        if cal is None:
-            if not self._queue:
-                return float("inf")
-            return self._queue[0][0]
-        return cal.peek()
+        if not self._queue:
+            return float("inf")
+        return self._queue[0][0]
 
     def _dispatch_next(self) -> None:
         """Pop and finish exactly one event — THE dispatch semantics.
 
         This is the single reference implementation that :meth:`step`
-        uses and that the inlined loops in :meth:`run` replicate (the
+        uses and that the inlined loop in :meth:`run` replicates (the
         replication is pinned by ``tests/sim/test_engine.py``'s
-        step/run-equivalence tests, so a queue swap cannot fork
-        behavior between the two paths).  A :class:`StopSimulation`
+        step/run-equivalence tests, so an edit to one path cannot fork
+        behavior from the other).  A :class:`StopSimulation`
         raised by an until-event callback propagates to the caller.
         """
-        cal = self._cal
-        if cal is None:
-            try:
-                item = heappop(self._queue)
-            except IndexError:
-                raise EmptySchedule() from None
-        else:
-            if not cal:
-                raise EmptySchedule() from None
-            item = cal.pop()
+        try:
+            item = heappop(self._queue)
+        except IndexError:
+            raise EmptySchedule() from None
         self._now = item[0]
         event = item[3]
         callbacks = event.callbacks
@@ -282,7 +208,7 @@ class Environment:
     def _recycle(self, event: Event, callbacks: list) -> None:
         """Return a finished event to its free list when provably unheld.
 
-        In the inlined run loops the safe refcount is 3 — the popped
+        In the inlined run loop the safe refcount is 3 — the popped
         ``item`` tuple, the loop's ``event`` local, and the refcount
         call's own argument; here a fourth reference is this method's
         ``event`` parameter.  Any additional holder (a process that kept
@@ -358,16 +284,59 @@ class Environment:
                 raise until_event._value
             until_event.callbacks.append(_stop_simulation)
 
-        # Inlined event loops (equivalent to `while True: self.step()`).
+        # Inlined event loop (equivalent to `while True: self.step()`).
         # This is the hottest code in the simulator: local bindings, no
         # per-event method call, and in-line recycling measurably raise
-        # events/sec on large sweeps.  Keep both loops in lockstep with
+        # events/sec on large sweeps.  Keep it in lockstep with
         # _dispatch_next(): the step/run-equivalence tests pin this.
+        queue = self._queue
+        timeout_pool = self._timeout_pool
+        event_pool = self._event_pool
+        get_pool = self._get_pool
+        put_pool = self._put_pool
+        refcount = _getrefcount
+        limit = _pool_limit()
         try:
-            if self._cal is None:
-                self._run_heap()
-            else:
-                self._run_calendar()
+            while True:
+                try:
+                    item = heappop(queue)
+                except IndexError:
+                    raise EmptySchedule() from None
+                self._now = item[0]
+                event = item[3]
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    # A failed event nobody handled: escalate to the caller.
+                    raise event._value
+                # Inline of _recycle(); see its docstring for the invariant.
+                cls = event.__class__
+                if cls is Timeout:
+                    if refcount(event) == 3 and len(timeout_pool) < limit:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        timeout_pool.append(event)
+                elif cls is Event:
+                    if refcount(event) == 3 and len(event_pool) < limit:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        event_pool.append(event)
+                elif cls is StoreGet:
+                    if refcount(event) == 3 and len(get_pool) < limit:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        event.store = None
+                        event.filter_fn = None
+                        get_pool.append(event)
+                elif cls is StorePut:
+                    if refcount(event) == 3 and len(put_pool) < limit:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        event.store = None
+                        event.item = None
+                        put_pool.append(event)
         except StopSimulation as stop:
             finished: Event = stop.args[0]
             if finished._ok:
@@ -380,106 +349,6 @@ class Environment:
                     "has not triggered"
                 ) from None
         return None
-
-    def _run_heap(self) -> None:
-        """Inlined dispatch loop over the binary-heap core."""
-        queue = self._queue
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        get_pool = self._get_pool
-        put_pool = self._put_pool
-        refcount = _getrefcount
-        limit = _pool_limit()
-        while True:
-            try:
-                item = heappop(queue)
-            except IndexError:
-                raise EmptySchedule() from None
-            self._now = item[0]
-            event = item[3]
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                # A failed event nobody handled: escalate to the caller.
-                raise event._value
-            # Inline of _recycle(); see its docstring for the invariant.
-            cls = event.__class__
-            if cls is Timeout:
-                if refcount(event) == 3 and len(timeout_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    timeout_pool.append(event)
-            elif cls is Event:
-                if refcount(event) == 3 and len(event_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event_pool.append(event)
-            elif cls is StoreGet:
-                if refcount(event) == 3 and len(get_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.filter_fn = None
-                    get_pool.append(event)
-            elif cls is StorePut:
-                if refcount(event) == 3 and len(put_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.item = None
-                    put_pool.append(event)
-
-    def _run_calendar(self) -> None:
-        """Inlined dispatch loop over the calendar-queue core."""
-        cal = self._cal
-        pop = cal.pop
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        get_pool = self._get_pool
-        put_pool = self._put_pool
-        refcount = _getrefcount
-        limit = _pool_limit()
-        while True:
-            if not cal._count:
-                raise EmptySchedule() from None
-            item = pop()
-            self._now = item[0]
-            event = item[3]
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                # A failed event nobody handled: escalate to the caller.
-                raise event._value
-            # Inline of _recycle(); see its docstring for the invariant.
-            cls = event.__class__
-            if cls is Timeout:
-                if refcount(event) == 3 and len(timeout_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    timeout_pool.append(event)
-            elif cls is Event:
-                if refcount(event) == 3 and len(event_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event_pool.append(event)
-            elif cls is StoreGet:
-                if refcount(event) == 3 and len(get_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.filter_fn = None
-                    get_pool.append(event)
-            elif cls is StorePut:
-                if refcount(event) == 3 and len(put_pool) < limit:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event.store = None
-                    event.item = None
-                    put_pool.append(event)
 
 
 def _stop_simulation(event: Event) -> None:
@@ -498,24 +367,23 @@ def _refcount_probe() -> bool:
 
     Each shortcut runs once on an unheld object, which must take it, and
     once on an object the probe holds, which must not; together they pin
-    the baseline exactly.  Pooling reads 3 in the inlined run loops (both
-    cores) and 4 in :meth:`Environment._recycle` (``step()``);
-    process-finish elision reads 4 in ``Process._resume``.
+    the baseline exactly.  Pooling reads 3 in the inlined run loop and 4
+    in :meth:`Environment._recycle` (``step()``); process-finish elision
+    reads 4 in ``Process._resume``.
     """
-    for scheduler in SCHEDULERS:
-        for stepped in (False, True):
-            env = Environment(scheduler=scheduler)
-            env.timeout(0.0)
-            held = env.timeout(0.0)
-            if stepped:
-                while env.pending:
-                    env.step()
-            else:
-                env.run()
-            pool = env._timeout_pool
-            if len(pool) != 1 or pool[0] is held:
-                return False
-    env = Environment(scheduler="heap")
+    for stepped in (False, True):
+        env = Environment()
+        env.timeout(0.0)
+        held = env.timeout(0.0)
+        if stepped:
+            while env.pending:
+                env.step()
+        else:
+            env.run()
+        pool = env._timeout_pool
+        if len(pool) != 1 or pool[0] is held:
+            return False
+    env = Environment()
     env.process(_finish_at_once())
     held = env.process(_finish_at_once())
     env.step()

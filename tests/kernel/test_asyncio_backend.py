@@ -248,6 +248,27 @@ class TestWallClock:
         asyncio.run(main())
         assert served == ["req-1"]
 
+    def test_external_timeout_wakes_sleeping_loop(self):
+        # Environment.timeout pushes onto the heap without schedule();
+        # the backend must still wake a loop sleeping toward a later
+        # event, or the new timeout waits out that whole sleep.
+        env = AsyncioBackend()
+        env.timeout(2.0)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            task = loop.create_task(env.run_async(stop_on_empty=False))
+            await asyncio.sleep(0.01)  # the loop is now sleeping toward t=2
+            env.touch()
+            start = loop.time()
+            await env.as_future(env.timeout(0.01))
+            elapsed = loop.time() - start
+            env.request_stop()
+            await task
+            return elapsed
+
+        assert asyncio.run(main()) < 0.5
+
     def test_request_stop_exits_parked_loop(self):
         env = AsyncioBackend()
 

@@ -5,8 +5,7 @@ and are no longer scheduled: every ``Release``, the finish event of a
 process nobody holds, and the container put behind
 ``GpuMemoryPool.free``.  Dropping an event with no callback cannot move
 any other event in the ``(time, priority, eid)`` order, so every trace
-here must match the run with the refcount shortcuts forced off, under
-both queue cores.
+here must match the run with the refcount shortcuts forced off.
 
 The shortcuts (pooling and process-finish elision) rest on CPython
 reference-count baselines that an import-time self-check confirms; the
@@ -31,7 +30,6 @@ from repro.sim import (
     Resource,
     Store,
 )
-from repro.sim.engine import SCHEDULERS
 from repro.workload import Workload
 
 
@@ -62,8 +60,8 @@ def test_self_check_passes_on_this_interpreter():
 
 class TestProcessFinish:
     @staticmethod
-    def _kept_process(scheduler):
-        env = Environment(scheduler=scheduler)
+    def _kept_process():
+        env = Environment()
         trace = []
 
         def child():
@@ -92,9 +90,8 @@ class TestProcessFinish:
         env.run()
         return trace
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_kept_process_resumes_at_its_place(self, shortcuts, scheduler):
-        on, off = _both_ways(shortcuts, self._kept_process, scheduler)
+    def test_kept_process_resumes_at_its_place(self, shortcuts):
+        on, off = _both_ways(shortcuts, self._kept_process)
         assert on == off == [
             (1.0, "child returns"),
             (1.0, "parent yields kept child"),
@@ -102,9 +99,8 @@ class TestProcessFinish:
             (1.0, "parent got payload"),
         ]
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_unheld_finish_is_not_queued(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_unheld_finish_is_not_queued(self):
+        env = Environment()
 
         def quick():
             yield env.timeout(1.0)
@@ -114,11 +110,10 @@ class TestProcessFinish:
         env.step()  # the timeout; the process returns and is not queued
         assert env.pending == 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_unheld_failure_still_escalates(self, shortcuts, scheduler):
+    def test_unheld_failure_still_escalates(self, shortcuts):
         for on in (True, False):
             shortcuts(on)
-            env = Environment(scheduler=scheduler)
+            env = Environment()
 
             def doomed():
                 yield env.timeout(1.0)
@@ -131,9 +126,8 @@ class TestProcessFinish:
 
 
 class TestRelease:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_release_is_processed_and_resumes_in_place(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_release_is_processed_and_resumes_in_place(self):
+        env = Environment()
         resource = Resource(env, capacity=1)
         trace = []
 
@@ -161,9 +155,8 @@ class TestRelease:
         # Had the release been queued, the bystander would run first.
         assert trace == [(0.0, "after release"), (0.0, "bystander")]
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_release_grants_the_next_waiter_at_once(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_release_grants_the_next_waiter_at_once(self):
+        env = Environment()
         resource = PriorityResource(env, capacity=1)
         granted = []
 
@@ -187,8 +180,8 @@ class TestRelease:
 
 class TestGpuMemoryFree:
     @staticmethod
-    def _blocked_allocs(scheduler, queued_put):
-        env = Environment(scheduler=scheduler)
+    def _blocked_allocs(queued_put):
+        env = Environment()
         pool = GpuMemoryPool(env, capacity_bytes=100.0)
         if queued_put:
             # The former free(): a put event that nobody waits on.
@@ -223,10 +216,9 @@ class TestGpuMemoryFree:
         env.run()
         return trace, pool.free_bytes
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_free_wakes_blocked_allocs_in_the_same_order(self, scheduler):
-        direct = self._blocked_allocs(scheduler, queued_put=False)
-        queued = self._blocked_allocs(scheduler, queued_put=True)
+    def test_free_wakes_blocked_allocs_in_the_same_order(self):
+        direct = self._blocked_allocs(queued_put=False)
+        queued = self._blocked_allocs(queued_put=True)
         assert direct == queued == ([
             (1.0, "free"),
             (1.0, "big"),
@@ -236,9 +228,9 @@ class TestGpuMemoryFree:
         ], 100.0)
 
 
-def _random_program(seed, scheduler):
+def _random_program(seed):
     """A random graph of spawns, waits, resources and stores; its trace."""
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     fifo = Resource(env, capacity=2)
     ranked = PriorityResource(env, capacity=1)
     store = Store(env, capacity=3)
@@ -296,12 +288,11 @@ def _random_program(seed, scheduler):
     return trace, env.now, env._eid
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_random_programs_trace_identically(shortcuts, scheduler):
+def test_random_programs_trace_identically(shortcuts):
     elided = 0
     for seed in range(60):
         (trace_on, now_on, queued_on), (trace_off, now_off, queued_off) = _both_ways(
-            shortcuts, _random_program, seed, scheduler)
+            shortcuts, _random_program, seed)
         assert trace_on == trace_off, seed
         assert now_on == now_off, seed
         assert queued_on <= queued_off, seed

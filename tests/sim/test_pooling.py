@@ -15,12 +15,12 @@ the object.  These tests pin the two halves of that contract:
 import pytest
 
 from repro.sim import Environment, Store
-from repro.sim.engine import _POOL_LIMIT, SCHEDULERS
+from repro.sim.engine import _POOL_LIMIT
 
 
-@pytest.fixture(params=SCHEDULERS)
-def env(request):
-    return Environment(scheduler=request.param)
+@pytest.fixture
+def env():
+    return Environment()
 
 
 class TestTimeoutPooling:
@@ -147,8 +147,8 @@ class TestStoreEventPooling:
 
 class TestPoolingDeterminism:
     def test_step_driven_run_matches_run(self):
-        """step() recycles through the same path as run(); both
-        schedulers and both drive styles yield identical traces."""
+        """step() recycles through the same path as run(); both drive
+        styles yield identical traces."""
 
         def workload(env, trace):
             store = Store(env)
@@ -167,15 +167,14 @@ class TestPoolingDeterminism:
             env.process(consumer(env))
 
         traces = []
-        for scheduler in SCHEDULERS:
-            for drive in ("run", "step"):
-                env = Environment(scheduler=scheduler)
-                trace = []
-                workload(env, trace)
-                if drive == "run":
-                    env.run()
-                else:
-                    while env.pending:
-                        env.step()
-                traces.append(trace)
+        for drive in ("run", "step"):
+            env = Environment()
+            trace = []
+            workload(env, trace)
+            if drive == "run":
+                env.run()
+            else:
+                while env.pending:
+                    env.step()
+            traces.append(trace)
         assert all(t == traces[0] for t in traces[1:])

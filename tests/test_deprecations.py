@@ -8,23 +8,6 @@ from repro.apps.video_classification import VideoServerConfig
 
 
 class TestWithUnderscoreAlias:
-    @pytest.mark.parametrize(
-        "config, override",
-        [
-            (ServerConfig(), {"max_batch_size": 32}),
-            (ExperimentConfig(), {"concurrency": 8}),
-            (FacePipelineConfig(), {"faces_per_frame": 3}),
-            (VideoServerConfig(), {"frames_per_clip": 4}),
-        ],
-        ids=["server", "experiment", "faces", "video"],
-    )
-    def test_with_warns_and_still_works(self, config, override):
-        with pytest.warns(DeprecationWarning, match="with_overrides"):
-            updated = config.with_(**override)
-        (field, value), = override.items()
-        assert getattr(updated, field) == value
-        assert updated == config.with_overrides(**override)
-
     def test_with_overrides_does_not_warn(self):
         import warnings
 
