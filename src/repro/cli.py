@@ -613,6 +613,7 @@ def cmd_models(args) -> int:
 
 def cmd_faults(args) -> int:
     from .faults.experiment import sweep_fault_rates
+    from .parallel.executor import usable_cpus
     from .serving.resilience import ResiliencePolicy, RetryPolicy
 
     try:
@@ -651,7 +652,7 @@ def cmd_faults(args) -> int:
         downtime_fractions=fractions,
         restart_seconds=args.restart_ms / 1e3,
         resilience=resilience,
-        workers=args.workers if args.workers != 0 else os.cpu_count(),
+        workers=args.workers if args.workers != 0 else usable_cpus(),
         node_count=args.nodes,
         seed=args.seed,
         warmup_requests=args.warmup,
@@ -888,7 +889,7 @@ def _print_cluster_bench(data: Dict) -> bool:
     print(format_table(
         ["probe", "value"], rows,
         title=f"cluster bench — {'smoke' if data['smoke'] else 'full'} mode, "
-              f"{data['host']['cpu_count']} CPU(s)",
+              f"{data['host']['usable_cpus']} usable CPU(s)",
     ))
     return identical
 
@@ -952,19 +953,17 @@ def cmd_bench(args) -> int:
         ["sweep points", str(sweep["points"])],
         ["serial wall", f"{sweep['serial_wall_seconds']:.2f} s"],
         ["parallel wall", f"{sweep['parallel_wall_seconds']:.2f} s "
-                          f"({sweep['parallel_workers']} worker(s))"],
+                          f"({sweep['parallel_workers']} worker(s), "
+                          f"{sweep['parallel_start_method'] or 'no pool'})"],
         ["speedup", f"{sweep['speedup']:.2f}x"],
-        ["persistent warm wall", f"{sweep['persistent_wall_seconds']:.2f} s "
-                                 f"(chunk={sweep['persistent_chunk_size']})"],
         ["bit-identical", str(sweep["bit_identical"])],
-        ["persistent bit-identical", str(sweep["persistent_bit_identical"])],
     ]
     print(
         format_table(
             ["probe", "value"],
             rows,
             title=f"simulator bench — {'smoke' if args.smoke else 'full'} mode, "
-                  f"{data['host']['cpu_count']} CPU(s)",
+                  f"{data['host']['usable_cpus']} usable CPU(s)",
         )
     )
     if args.out:
@@ -974,8 +973,7 @@ def cmd_bench(args) -> int:
         gate = _compare_baseline(args, args.out)
         if gate:
             return gate
-    identical = sweep["bit_identical"] and sweep["persistent_bit_identical"]
-    return 0 if identical else 1
+    return 0 if sweep["bit_identical"] else 1
 
 
 def cmd_plan(args) -> int:

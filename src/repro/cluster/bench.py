@@ -27,6 +27,7 @@ import time
 from typing import Any, Dict, Optional, Sequence
 
 from ..core.config import ServerConfig
+from ..parallel.executor import usable_cpus
 from ..workload import Workload
 from .config import EXEC_PROCESS, ClusterConfig
 from .runner import ClusterResult, run_cluster_experiment
@@ -156,6 +157,7 @@ def run_cluster_bench(smoke: bool = False) -> Dict[str, Any]:
             "implementation": platform.python_implementation(),
             "platform": sys.platform,
             "cpu_count": os.cpu_count(),
+            "usable_cpus": usable_cpus(),
         },
         "scaling": scaling,
         "day": bench_day(),

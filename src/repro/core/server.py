@@ -429,6 +429,10 @@ class InferenceServer:
         while True:
             batch = yield batcher.next_batch()
             entries = [entry for entry, _ in batch]
+            costs = [
+                gpu_preprocess_cost(entry.request.image, self.model.input_size, self.calibration)
+                for entry in entries
+            ]
             now = self.env.now
             for entry in entries:
                 entry.request.end(SPAN_PREPROCESS_WAIT, now)
@@ -447,8 +451,8 @@ class InferenceServer:
             # 1. Host staging: each sample needs a staging thread for its
             #    pinned copy + bitstream parse (pool shared across GPUs).
             stage_jobs = [
-                self.env.process(self._stage_sample(staging, entry))
-                for entry in entries
+                self.env.process(self._stage_sample(staging, cost.staging_seconds))
+                for entry, cost in zip(entries, costs)
                 if entry not in cached_entries
             ]
             if stage_jobs:
@@ -487,10 +491,7 @@ class InferenceServer:
             #    paper cites in Sec. 2.2).
             decode_time = 0.0
             kernel_time = gpu_cal.preprocess_launch_seconds
-            for entry in entries:
-                cost = gpu_preprocess_cost(
-                    entry.request.image, self.model.input_size, self.calibration
-                )
+            for entry, cost in zip(entries, costs):
                 if entry not in cached_entries:
                     decode_time += cost.decode_kernel_seconds
                 kernel_time += cost.postprocess_kernel_seconds
@@ -523,12 +524,11 @@ class InferenceServer:
                 entry.request.begin(SPAN_QUEUE, self.env.now)
                 yield self._batchers[gpu.index].submit((entry, done))
 
-    def _stage_sample(self, staging, entry: BatchEntry):
+    def _stage_sample(self, staging, staging_seconds: float):
         """Occupy one staging thread for the sample's host-side work."""
-        cost = gpu_preprocess_cost(entry.request.image, self.model.input_size, self.calibration)
         with staging.request() as grant:
             yield grant
-            yield self.env.timeout(cost.staging_seconds)
+            yield self.env.timeout(staging_seconds)
 
     def _on_evict(self, entry: BatchEntry) -> None:
         """Pool callback: the entry's tensor was pushed out to host memory."""

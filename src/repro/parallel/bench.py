@@ -11,10 +11,9 @@ probes:
   plus a deep pre-filled drain (the path that used to be quadratic via
   ``list.pop(0)``).
 - **sweep**: a >=12-point closed-loop experiment sweep executed serially
-  and through :func:`repro.parallel.run_sweep` — once with the default
-  per-sweep pool and once with a persistent spawn pool + chunked point
-  batches — reporting wall-clock, speedup, and whether the row sets
-  were bit-identical.
+  and through :func:`repro.parallel.run_sweep`'s per-sweep pool,
+  reporting wall-clock, speedup, the pool's start method, and whether
+  the row sets were bit-identical.
 
 Nothing here prints; the CLI (``python -m repro bench``) renders the
 returned dict and writes the JSON file.
@@ -32,7 +31,7 @@ from typing import Any, Dict, List, Optional
 from ..core.config import ServerConfig
 from ..serving.runner import ExperimentConfig
 from ..sim import Environment, Store
-from .executor import ParallelConfig, run_sweep
+from .executor import ParallelConfig, run_sweep, usable_cpus
 from .tasks import ExperimentPoint, run_experiment_point
 
 __all__ = [
@@ -47,10 +46,12 @@ __all__ = [
 ]
 
 #: Bump when the harness shape changes incompatibly.  v2 added the
-#: per-scheduler engine probes and the persistent/chunked sweep leg;
+#: per-scheduler engine probes and a warm-pool/batched sweep leg;
 #: v3 dropped the per-scheduler block for the single queue core and
-#: moved its depth-10k probe to ``engine.concurrent_events_per_sec``.
-SCHEMA_VERSION = 3
+#: moved its depth-10k probe to ``engine.concurrent_events_per_sec``;
+#: v4 dropped the warm-pool/batched sweep leg and added the pool's
+#: start method and the host's usable CPUs.
+SCHEMA_VERSION = 4
 
 
 def bench_engine_events(events: int = 200_000) -> float:
@@ -178,20 +179,7 @@ def bench_sweep(
     parallel = run_sweep(
         run_experiment_point, points, ParallelConfig(workers=workers)
     )
-    # Persistent spawn pool + chunked batches: amortizes the ~100 ms
-    # spawn-worker startup and the per-point submit/retrieve round
-    # trips that cap the plain pool's efficiency on short points.
-    persistent_config = ParallelConfig(
-        workers=workers, persistent=True, chunk_size=2
-    )
-    persistent = run_sweep(run_experiment_point, points, persistent_config)
-    # Second pass reuses the already-warm workers — the steady-state
-    # number a long-lived sweep driver actually sees.
-    persistent_warm = run_sweep(
-        run_experiment_point, points, persistent_config
-    )
     identical = serial.values == parallel.values
-    persistent_identical = serial.values == persistent_warm.values
     speedup = (
         serial.wall_seconds / parallel.wall_seconds
         if parallel.wall_seconds > 0
@@ -204,14 +192,10 @@ def bench_sweep(
         "parallel_wall_seconds": parallel.wall_seconds,
         "parallel_workers": parallel.workers,
         "parallel_mode": parallel.mode,
+        "parallel_start_method": parallel.extras.get("start_method"),
         "parallel_efficiency": parallel.parallel_efficiency,
         "speedup": speedup,
         "bit_identical": identical,
-        "persistent_cold_wall_seconds": persistent.wall_seconds,
-        "persistent_wall_seconds": persistent_warm.wall_seconds,
-        "persistent_chunk_size": 2,
-        "persistent_efficiency": persistent_warm.parallel_efficiency,
-        "persistent_bit_identical": persistent_identical,
         "serial_point_seconds": [r.seconds for r in serial.results],
         "parallel_point_seconds": [r.seconds for r in parallel.results],
     }
@@ -250,6 +234,7 @@ def run_bench(
             "implementation": platform.python_implementation(),
             "platform": sys.platform,
             "cpu_count": os.cpu_count(),
+            "usable_cpus": usable_cpus(),
         },
         "engine": {
             "timeout_events_per_sec": _best_of(bench_engine_events, engine_events),

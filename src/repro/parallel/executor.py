@@ -19,24 +19,31 @@ Design rules that keep the guarantee cheap to uphold:
 - Seeds for generated sweeps come from :func:`derive_seed`, which hashes
   ``(base_seed, key)``; the derivation is position-independent, so
   reordering or slicing a sweep never changes any point's result.
-- Workers start from a ``spawn`` context by default: a fresh interpreter
-  that imports only what the task needs, which keeps heavyweight
-  optional dependencies (matplotlib & co) out of the workers and makes
-  the execution environment identical no matter which process a point
-  lands on.  ``fork`` is available opt-in for lower start-up latency.
+- Each sweep gets its own pool, shut down before :func:`run_sweep`
+  returns.  On Linux, when the parent runs a single Python thread, the
+  pool starts its workers with ``fork``: they inherit the parent's
+  already-imported ``repro`` and skip interpreter start-up, which
+  otherwise costs more than a short point's simulation.  Everywhere
+  else (other platforms, or a parent with live threads, where forking
+  is unsafe) workers start from ``spawn``: a fresh interpreter that
+  imports only what the task needs.  The values are the same either
+  way; :attr:`SweepReport.extras` records the method used.
+- Workers must not import heavyweight optional dependencies
+  (:data:`HEAVY_MODULES`).  A forked worker may hold the ones its
+  parent had already loaded; it is checked for any beyond those.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
+import multiprocessing
 import os
 import sys
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
     "HEAVY_MODULES",
@@ -46,7 +53,7 @@ __all__ = [
     "SweepReport",
     "derive_seed",
     "run_sweep",
-    "shutdown_persistent_pools",
+    "usable_cpus",
 ]
 
 #: Optional dependencies that must never be imported inside a pool
@@ -83,51 +90,44 @@ class SweepError(RuntimeError):
     """
 
     def __init__(self, index: int, point: Any, cause: BaseException) -> None:
-        reason = cause.message if isinstance(cause, _ChunkPointError) else _describe(cause)
-        super().__init__(f"sweep point {index} ({type(point).__name__}) failed: {reason}")
+        super().__init__(
+            f"sweep point {index} ({type(point).__name__}) failed: {_describe(cause)}"
+        )
         self.index = index
         self.point = point
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask where the platform has one: a container pinned to
+    fewer CPUs than the host has reports the host's count through
+    :func:`os.cpu_count`, and a pool that size would oversubscribe.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, kw_only=True)
 class ParallelConfig:
     """Execution knobs for :func:`run_sweep`."""
 
-    #: Pool size; ``None`` uses every available core.
+    #: Pool size; ``None`` uses every CPU this process may run on.
     workers: Optional[int] = None
     #: Force in-process serial execution (no pool at all).
     serial: bool = False
-    #: Multiprocessing start method: ``"spawn"`` (default, clean worker
-    #: imports) or ``"fork"`` (faster start-up on POSIX).
-    mp_context: str = "spawn"
     #: Re-run the sweep serially afterwards and assert the values are
     #: identical (the bit-identity guarantee, paid for twice the work).
     verify: bool = False
-    #: Reuse one long-lived pool per ``(mp_context, workers)`` across
-    #: sweeps instead of spawning fresh interpreters every call.  A
-    #: spawn worker costs ~100ms of interpreter+import start-up; with
-    #: many small sweeps (parameter searches, the bench harness) that
-    #: start-up dominates the 0.66 parallel-efficiency figure.  Pools
-    #: live until :func:`shutdown_persistent_pools` or process exit.
-    persistent: bool = False
-    #: Points submitted per pool task.  ``None``/1 submits one point per
-    #: task (maximal load-balancing); larger chunks amortize per-point
-    #: pickle + result-transport overhead when points are small and
-    #: numerous.  Results are bit-identical regardless of chunking —
-    #: every point stays a pure function of its spec.
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.mp_context not in ("spawn", "fork", "forkserver"):
-            raise ValueError(f"unknown mp_context {self.mp_context!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     def resolved_workers(self, point_count: int) -> int:
         """Actual pool size for a sweep of ``point_count`` points."""
-        workers = self.workers if self.workers is not None else (os.cpu_count() or 1)
+        workers = self.workers if self.workers is not None else usable_cpus()
         return max(1, min(workers, point_count))
 
 
@@ -209,8 +209,22 @@ def _run_point(task: Callable[[Any], Any], index: int, point: Any) -> PointResul
     )
 
 
+#: Heavy modules this worker's parent had loaded when it forked the
+#: pool; set in each worker by :func:`_init_worker`, empty elsewhere.
+_inherited_heavy: FrozenSet[str] = frozenset()
+
+
+def _init_worker(inherited: Tuple[str, ...]) -> None:
+    global _inherited_heavy
+    _inherited_heavy = frozenset(inherited)
+
+
+def _loaded_heavy() -> Tuple[str, ...]:
+    return tuple(name for name in HEAVY_MODULES if name in sys.modules)
+
+
 def _check_import_hygiene() -> None:
-    loaded = [name for name in HEAVY_MODULES if name in sys.modules]
+    loaded = [name for name in _loaded_heavy() if name not in _inherited_heavy]
     if loaded:
         raise ImportError(
             f"sweep worker imported heavyweight optional deps {loaded}; "
@@ -226,67 +240,18 @@ def _pool_point(task: Callable[[Any], Any], index: int, point: Any) -> PointResu
     return result
 
 
-class _ChunkPointError(Exception):
-    """Worker-side failure inside a chunk; names the failing point.
+def _start_method() -> str:
+    """``"fork"`` on Linux while this process runs one Python thread.
 
-    Carries only the index and a rendered cause so it pickles across the
-    pool boundary regardless of what the task raised.
+    Forking copies only the calling thread, so a lock another thread
+    holds stays locked forever in the child; with live threads the pool
+    uses ``spawn``.  The pool forks every worker before it starts its
+    own manager thread (CPython 3.10.13+ / 3.11+, cpython#90622), so the
+    check made here still holds when the workers fork.
     """
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(index, message)
-        self.index = index
-        self.message = message
-
-
-def _pool_chunk(
-    task: Callable[[Any], Any], chunk: List[Tuple[int, Any]]
-) -> List[PointResult]:
-    """Worker-side entry for a batch of points (one pickle round-trip)."""
-    results: List[PointResult] = []
-    for index, point in chunk:
-        try:
-            results.append(_run_point(task, index, point))
-        except Exception as exc:
-            raise _ChunkPointError(index, _describe(exc)) from exc
-    _check_import_hygiene()
-    return results
-
-
-#: Long-lived pools reused across sweeps, keyed by (mp_context, workers).
-_PERSISTENT_POOLS: Dict[Tuple[str, int], ProcessPoolExecutor] = {}
-
-
-def _persistent_pool(mp_context: str, workers: int) -> ProcessPoolExecutor:
-    import multiprocessing
-
-    key = (mp_context, workers)
-    pool = _PERSISTENT_POOLS.get(key)
-    if pool is None:
-        context = multiprocessing.get_context(mp_context)
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        _PERSISTENT_POOLS[key] = pool
-    return pool
-
-
-def _evict_persistent_pool(mp_context: str, workers: int) -> None:
-    pool = _PERSISTENT_POOLS.pop((mp_context, workers), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def shutdown_persistent_pools() -> None:
-    """Shut down every pool created by ``ParallelConfig(persistent=True)``.
-
-    Idempotent; also registered via :mod:`atexit` so leaked pools never
-    outlive the parent process.
-    """
-    while _PERSISTENT_POOLS:
-        _, pool = _PERSISTENT_POOLS.popitem()
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-atexit.register(shutdown_persistent_pools)
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return "fork"
+    return "spawn"
 
 
 def _run_serial(
@@ -310,62 +275,31 @@ def _run_pool(
     task: Callable[[Any], Any],
     points: Sequence[Any],
     workers: int,
-    config: "ParallelConfig",
+    start_method: str,
     on_progress: Optional[Callable[[PointResult, int], None]],
 ) -> List[PointResult]:
-    import multiprocessing
-
-    chunk_size = config.chunk_size or 1
     total = len(points)
     ordered: List[Optional[PointResult]] = [None] * total
-
-    if config.persistent:
-        pool = _persistent_pool(config.mp_context, workers)
-        close = None
-    else:
-        context = multiprocessing.get_context(config.mp_context)
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        close = pool.shutdown
-
-    try:
-        if chunk_size == 1:
-            pending = {
-                pool.submit(_pool_point, task, index, point): [(index, point)]
-                for index, point in enumerate(points)
-            }
-        else:
-            indexed = list(enumerate(points))
-            pending = {
-                pool.submit(_pool_chunk, task, indexed[start : start + chunk_size]):
-                    indexed[start : start + chunk_size]
-                for start in range(0, total, chunk_size)
-            }
+    inherited = _loaded_heavy() if start_method == "fork" else ()
+    context = multiprocessing.get_context(start_method)
+    with ProcessPoolExecutor(workers, context, _init_worker, (inherited,)) as pool:
+        pending = {
+            pool.submit(_pool_point, task, index, point): index
+            for index, point in enumerate(points)
+        }
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                chunk = pending.pop(future)
+                index = pending.pop(future)
                 error = future.exception()
                 if error is not None:
                     for other in pending:
                         other.cancel()
-                    if isinstance(error, BrokenProcessPool) and config.persistent:
-                        # A dead worker poisons the whole executor; evict
-                        # it so the next sweep gets a fresh pool.
-                        _evict_persistent_pool(config.mp_context, workers)
-                    if isinstance(error, _ChunkPointError):
-                        index = error.index
-                        point = points[index]
-                    else:
-                        index, point = chunk[0]
-                    raise SweepError(index, point, error) from error
-                got = future.result()
-                for result in got if chunk_size > 1 else [got]:
-                    ordered[result.index] = result
-                    if on_progress is not None:
-                        on_progress(result, total)
-    finally:
-        if close is not None:
-            close(wait=True)
+                    raise SweepError(index, points[index], error) from error
+                result = future.result()
+                ordered[index] = result
+                if on_progress is not None:
+                    on_progress(result, total)
     return [r for r in ordered if r is not None]
 
 
@@ -397,11 +331,13 @@ def run_sweep(
 
     workers = config.resolved_workers(len(points))
     serial = config.serial or workers == 1 or len(points) == 1
+    extras: Dict[str, Any] = {}
     if serial:
         results = _run_serial(task, points, on_progress)
         mode, used = "serial", 1
     else:
-        results = _run_pool(task, points, workers, config, on_progress)
+        extras["start_method"] = _start_method()
+        results = _run_pool(task, points, workers, extras["start_method"], on_progress)
         mode, used = "parallel", workers
     wall = time.perf_counter() - start
 
@@ -416,10 +352,6 @@ def run_sweep(
                 )
         verified = True
 
-    extras: Dict[str, Any] = {}
-    if mode == "parallel":
-        extras["chunk_size"] = config.chunk_size or 1
-        extras["persistent"] = config.persistent
     return SweepReport(
         results=tuple(results),
         wall_seconds=wall,

@@ -109,21 +109,45 @@ class SloReport:
         }
 
 
+class _Window:
+    """One sliding window: its ``(time, is_bad)`` events and their bad count."""
+
+    __slots__ = ("seconds", "events", "bad")
+
+    def __init__(self, seconds: float) -> None:
+        self.seconds = seconds
+        self.events: Deque[Tuple[float, bool]] = deque()
+        self.bad = 0
+
+    def evict(self, now: float) -> None:
+        events = self.events
+        while events and events[0][0] < now - self.seconds:
+            if events.popleft()[1]:
+                self.bad -= 1
+
+    def burn_rate(self, target: float) -> float:
+        if not self.events:
+            return 0.0
+        return (self.bad / len(self.events)) / (1.0 - target)
+
+
 class SloTracker:
     """Streams completion events into SLO compliance and burn rates.
 
     State is one deque per burn window (events older than the window are
-    evicted lazily on observe/report), plus whole-run good/bad totals —
-    O(events in the longest window), independent of run length.
+    evicted lazily on observe/report) with a running count of its bad
+    events, plus whole-run good/bad totals — O(events in the longest
+    window) memory, independent of run length, and O(1) per scrape
+    beyond the evictions.
     """
 
     def __init__(self, config: SloConfig) -> None:
         self.config = config.validate()
         self.total = 0
         self.good = 0
-        # (time, is_bad) per event, one deque per window, longest first.
-        self._windows: List[Tuple[float, Deque[Tuple[float, bool]]]] = [
-            (window, deque())
+        # Longest window first.
+        self._windows: List[_Window] = [
+            _Window(window)
             for window in sorted(config.burn_windows_seconds, reverse=True)
         ]
 
@@ -137,14 +161,11 @@ class SloTracker:
         self.total += 1
         if is_good:
             self.good += 1
-        for window_seconds, events in self._windows:
-            events.append((now, not is_good))
-            self._evict(events, window_seconds, now)
-
-    @staticmethod
-    def _evict(events: Deque[Tuple[float, bool]], window: float, now: float) -> None:
-        while events and events[0][0] < now - window:
-            events.popleft()
+        for window in self._windows:
+            window.events.append((now, not is_good))
+            if not is_good:
+                window.bad += 1
+            window.evict(now)
 
     def compliance(self) -> float:
         """Whole-run fraction of good requests (1.0 when empty)."""
@@ -159,29 +180,22 @@ class SloTracker:
 
     def burn_rate(self, window_seconds: float, now: float) -> float:
         """Bad fraction over the window divided by the budgeted fraction."""
-        for configured, events in self._windows:
-            if configured == window_seconds:
-                self._evict(events, configured, now)
-                if not events:
-                    return 0.0
-                bad = sum(1 for _, is_bad in events if is_bad)
-                bad_fraction = bad / len(events)
-                return bad_fraction / (1.0 - self.config.target)
+        for window in self._windows:
+            if window.seconds == window_seconds:
+                window.evict(now)
+                return window.burn_rate(self.config.target)
         raise KeyError(f"window {window_seconds} not configured")
 
     def report(self, now: float) -> SloReport:
         windows = []
-        for window_seconds, events in self._windows:
-            self._evict(events, window_seconds, now)
-            bad = sum(1 for _, is_bad in events if is_bad)
-            total = len(events)
-            burn = (bad / total) / (1.0 - self.config.target) if total else 0.0
+        for window in self._windows:
+            window.evict(now)
             windows.append(
                 SloWindowReport(
-                    window_seconds=window_seconds,
-                    total=total,
-                    bad=bad,
-                    burn_rate=burn,
+                    window_seconds=window.seconds,
+                    total=len(window.events),
+                    bad=window.bad,
+                    burn_rate=window.burn_rate(self.config.target),
                 )
             )
         return SloReport(

@@ -10,13 +10,16 @@
    arrives, never what the answer is.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.cluster import ClusterConfig, run_cluster_experiment
 from repro.core import ServerConfig
+from repro.parallel import executor
 from repro.serving import run_fleet_experiment
 from repro.telemetry.slo import SloConfig
-from repro.workload import Workload
+from repro.workload import MarkovSessionModel, Workload, synthesize_trace
 
 SERVER = ServerConfig(model="resnet-50", preprocess_batch_size=64)
 WORKLOAD = Workload.constant(150.0, duration_seconds=3.0)
@@ -85,6 +88,32 @@ class TestShardInvariance:
         assert pooled.issued == serial.issued
         assert pooled.mode == "process"
         assert pooled.workers == 2
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method on this platform")
+    def test_process_start_method_invariant(self, tmp_path, monkeypatch):
+        """A Markov-session diurnal day replayed over two process shards:
+        forked and spawned workers give the serial run's metrics."""
+        trace = str(tmp_path / "day.jsonl")
+        synthesize_trace(
+            Workload.diurnal(40.0, swing=0.6, period_seconds=5.0,
+                             sessions=MarkovSessionModel(), duration_seconds=5.0),
+            trace, seed=3)
+        day = Workload.replay(trace)
+        config = ClusterConfig(cells=8, nodes_per_cell=2, shards=2)
+
+        def run(execution):
+            return run_cluster_experiment(
+                SERVER, config.with_overrides(execution=execution), day,
+                seed=3, max_requests=1500).metrics.to_dict()
+
+        serial = run("serial")
+        runs = {}
+        for method in ("fork", "spawn"):
+            monkeypatch.setattr(executor, "_start_method", lambda: method)
+            runs[method] = run("process")
+        assert runs["fork"] == serial
+        assert runs["spawn"] == serial
 
     def test_fluid_knob_packing_and_mode_invariant(self):
         base = self.BASE.with_overrides(

@@ -1,6 +1,10 @@
 """Unit tests for the process-pool sweep executor."""
 
+import os
 import pickle
+import sys
+import threading
+import types
 
 import pytest
 
@@ -11,10 +15,10 @@ from repro.parallel import (
     derive_seed,
     run_sweep,
 )
-from repro.parallel.executor import (
-    _PERSISTENT_POOLS,
-    _pool_point,
-    shutdown_persistent_pools,
+from repro.parallel.executor import _pool_point
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="fork is chosen on Linux only"
 )
 
 
@@ -31,6 +35,12 @@ def fail_on_three(point):
 
 def fail_verbosely(point):
     raise RuntimeError("first line of the cause\n" + "detail " * 500)
+
+
+def import_heavy_stub(point):
+    """Stands in for a task that imports pandas inside the worker."""
+    sys.modules.setdefault("pandas", types.ModuleType("pandas"))
+    return point
 
 
 class TestDeriveSeed:
@@ -57,14 +67,19 @@ class TestParallelConfig:
         with pytest.raises(ValueError):
             ParallelConfig(workers=-2)
 
-    def test_rejects_bad_context(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(mp_context="thread")
-
     def test_resolved_workers_capped_by_points(self):
         assert ParallelConfig(workers=8).resolved_workers(3) == 3
         assert ParallelConfig(workers=2).resolved_workers(10) == 2
         assert ParallelConfig().resolved_workers(1) == 1
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        """A process pinned to one CPU gets one worker, whatever
+        ``os.cpu_count()`` says about the host, and so runs serially."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert ParallelConfig().resolved_workers(8) == 1
+        report = run_sweep(square, list(range(4)), ParallelConfig())
+        assert report.mode == "serial"
+        assert report.values == [0, 1, 4, 9]
 
 
 class TestRunSweepSerial:
@@ -132,85 +147,49 @@ class TestRunSweepParallel:
         assert report.verified is True
 
 
-class TestChunkedSubmission:
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0)
+class TestStartMethod:
+    @linux_only
+    def test_single_threaded_parent_forks(self):
+        assert threading.active_count() == 1, threading.enumerate()
+        serial = run_sweep(square, list(range(6)), ParallelConfig(serial=True))
+        pooled = run_sweep(square, list(range(6)), ParallelConfig(workers=2))
+        assert pooled.extras["start_method"] == "fork"
+        assert pickle.dumps(pooled.values) == pickle.dumps(serial.values)
 
-    def test_chunked_matches_serial_in_order(self):
-        serial = run_sweep(square, list(range(7)), ParallelConfig(serial=True))
-        chunked = run_sweep(
-            square, list(range(7)), ParallelConfig(workers=2, chunk_size=3)
-        )
-        assert chunked.mode == "parallel"
-        assert chunked.values == serial.values
-        assert [r.index for r in chunked.results] == list(range(7))
+    def test_live_thread_means_spawn(self):
+        serial = run_sweep(square, list(range(6)), ParallelConfig(serial=True))
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, daemon=True)
+        helper.start()
+        try:
+            pooled = run_sweep(square, list(range(6)), ParallelConfig(workers=2))
+        finally:
+            release.set()
+            helper.join(timeout=10)
+        assert not helper.is_alive()
+        assert pooled.extras["start_method"] == "spawn"
+        assert pickle.dumps(pooled.values) == pickle.dumps(serial.values)
 
-    def test_chunk_larger_than_sweep(self):
-        report = run_sweep(
-            square, [2, 3], ParallelConfig(workers=2, chunk_size=100)
-        )
-        assert report.values == [4, 9]
+    def test_serial_sweep_records_no_start_method(self):
+        report = run_sweep(square, [1, 2], ParallelConfig(serial=True))
+        assert "start_method" not in report.extras
 
-    def test_chunked_failure_names_the_exact_point(self):
-        """The failing point inside a chunk — not the chunk — is named."""
-        with pytest.raises(SweepError) as excinfo:
-            run_sweep(
-                fail_on_three,
-                [1, 2, 3, 4, 5, 6],
-                ParallelConfig(workers=2, chunk_size=3),
-            )
-        assert excinfo.value.index == 2
-        assert excinfo.value.point == 3
+    @linux_only
+    def test_fork_pool_tolerates_heavy_modules_the_parent_had(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", types.ModuleType("matplotlib"))
+        report = run_sweep(square, [1, 2, 3], ParallelConfig(workers=2))
+        assert report.extras["start_method"] == "fork"
+        assert report.values == [1, 4, 9]
 
-    def test_report_records_chunk_size(self):
-        report = run_sweep(
-            square, list(range(4)), ParallelConfig(workers=2, chunk_size=2)
-        )
-        assert report.to_dict()["chunk_size"] == 2
-
-
-class TestPersistentPool:
-    @pytest.fixture(autouse=True)
-    def _clean_pools(self):
-        shutdown_persistent_pools()
-        yield
-        shutdown_persistent_pools()
-
-    def test_persistent_matches_serial(self):
-        serial = run_sweep(square, list(range(5)), ParallelConfig(serial=True))
-        pooled = run_sweep(
-            square, list(range(5)), ParallelConfig(workers=2, persistent=True)
-        )
-        assert pooled.values == serial.values
-        assert pooled.to_dict()["persistent"] is True
-
-    def test_pool_is_reused_across_sweeps(self):
-        config = ParallelConfig(workers=2, persistent=True)
-        run_sweep(square, list(range(4)), config)
-        assert len(_PERSISTENT_POOLS) == 1
-        pool = next(iter(_PERSISTENT_POOLS.values()))
-        run_sweep(square, list(range(4)), config)
-        assert next(iter(_PERSISTENT_POOLS.values())) is pool
-
-    def test_shutdown_is_idempotent(self):
-        run_sweep(
-            square, list(range(4)), ParallelConfig(workers=2, persistent=True)
-        )
-        assert _PERSISTENT_POOLS
-        shutdown_persistent_pools()
-        assert not _PERSISTENT_POOLS
-        shutdown_persistent_pools()  # second call: no-op, no raise
-
-    def test_persistent_failure_still_names_the_point(self):
-        with pytest.raises(SweepError) as excinfo:
-            run_sweep(
-                fail_on_three,
-                [1, 3],
-                ParallelConfig(workers=2, persistent=True),
-            )
-        assert excinfo.value.point == 3
-        assert str(excinfo.value) == "sweep point 1 (int) failed: ValueError: boom"
+    @linux_only
+    def test_fork_pool_rejects_heavy_imports_of_its_own(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "matplotlib", types.ModuleType("matplotlib"))
+        assert "pandas" not in sys.modules
+        with pytest.raises(SweepError, match="ImportError") as excinfo:
+            run_sweep(import_heavy_stub, [1, 2], ParallelConfig(workers=2))
+        assert isinstance(excinfo.value.__cause__, ImportError)
+        assert "pandas" in str(excinfo.value)
+        assert "matplotlib" not in str(excinfo.value)
 
 
 class TestSweepReport:

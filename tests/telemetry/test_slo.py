@@ -1,6 +1,8 @@
 """SLO tracker tests: compliance, error budget, burn rates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import MetricsRegistry, SloConfig, SloTracker
 
@@ -94,3 +96,49 @@ class TestSloTracker:
         assert snap.metric("repro_slo_requests_total")["samples"][0]["value"] == 1
         assert snap.metric("repro_slo_bad_requests_total")["samples"][0]["value"] == 1
         assert snap.metric("repro_slo_compliance_ratio")["samples"][0]["value"] == 0.0
+
+
+#: One step of a tracker's life: ("observe", dt, latency, ok),
+#: ("report", dt) or ("burn", dt, window index).  ``dt`` advances the
+#: clock, so time never runs backwards (as in a simulation).
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.floats(0.0, 4.0),
+                  st.floats(0.0, 0.2), st.booleans()),
+        st.tuples(st.just("report"), st.floats(0.0, 30.0)),
+        st.tuples(st.just("burn"), st.floats(0.0, 30.0), st.integers(0, 1)),
+    ),
+    max_size=120,
+)
+
+
+@given(steps=_steps)
+@settings(max_examples=150, deadline=None)
+def test_window_counts_match_a_brute_force_recount(steps):
+    """The running bad counts equal a recount of every event still in
+    each window, and the burn rates are the ones the recount gives."""
+    target = 0.9
+    tracker = make_tracker()
+    history = []  # (time, is_bad) of every observed event
+    now = 0.0
+    for step in steps:
+        now += step[1]
+        if step[0] == "observe":
+            _, _, latency, ok = step
+            tracker.observe(latency, now=now, ok=ok)
+            history.append((now, not (ok and latency <= 0.1)))
+            continue
+        windows = (100.0, 10.0) if step[0] == "report" else ((100.0, 10.0)[step[2]],)
+        recount = []
+        for w in windows:
+            kept = [is_bad for t, is_bad in history if t >= now - w]
+            recount.append((len(kept), sum(kept)))
+        expected = [(bad / total) / (1.0 - target) if total else 0.0 for total, bad in recount]
+        if step[0] == "burn":
+            assert [tracker.burn_rate(w, now=now) for w in windows] == expected
+        else:
+            report = tracker.report(now=now)
+            assert [(w.total, w.bad) for w in report.windows] == recount
+            assert [w.burn_rate for w in report.windows] == expected
+    for window in tracker._windows:
+        assert window.bad == sum(1 for _, is_bad in window.events if is_bad)
